@@ -345,18 +345,18 @@ let fig11 () =
 let s51 () =
   section "Sec. 5.1 — design-time cost";
   let t0 = Unix.gettimeofday () in
-  let built =
-    (* The paper's full-resolution formulation: every 0.4 ms step. *)
-    Protemp.Model.build ~machine ~spec:Protemp.Spec.default ~tstart:70.0
-      ~ftarget:7e8
+  (* The paper's full-resolution formulation: every 0.4 ms step. *)
+  let prepared =
+    Protemp.Model.prepare ~machine ~spec:Protemp.Spec.default ~tstart:70.0
   in
+  let built = Protemp.Model.instantiate prepared ~ftarget:7e8 in
   let outcome = Protemp.Model.solve built in
   let dt = Unix.gettimeofday () -. t0 in
+  let rows = Protemp.Model.cap_rows prepared in
   Printf.printf
-    "  one Eq. 3 instance (m = %d steps, %d constraints): %.2f s\n"
-    built.Protemp.Model.steps
-    (Array.length built.Protemp.Model.problem.Convex.Barrier.constraints)
-    dt;
+    "  one Eq. 3 instance (m = %d steps, %d of %d thermal rows kept): %.2f s\n"
+    built.Protemp.Model.steps rows.Protemp.Model.kept
+    rows.Protemp.Model.formulated dt;
   claim "single design point solves in < 2 minutes (paper: < 2 min with CVX)"
     (dt < 120.0 && outcome <> Protemp.Model.Infeasible);
   let _ = Lazy.force table in
@@ -406,7 +406,7 @@ let abl_euler_vs_expm () =
 
 let abl_stride () =
   section "Ablation — thermal-constraint stride vs solve cost and margin";
-  Printf.printf "  %8s %12s %10s %14s\n" "stride" "constraints" "time (s)"
+  Printf.printf "  %8s %16s %10s %14s\n" "stride" "kept/formulated" "time (s)"
     "window margin";
   (* A point near the feasibility frontier, where the thermal rows
      bind and the stride actually matters. *)
@@ -414,9 +414,8 @@ let abl_stride () =
     (fun stride ->
       let s = { Protemp.Spec.default with Protemp.Spec.constraint_stride = stride } in
       let t0 = Unix.gettimeofday () in
-      let built =
-        Protemp.Model.build ~machine ~spec:s ~tstart:85.0 ~ftarget:8.68e8
-      in
+      let prepared = Protemp.Model.prepare ~machine ~spec:s ~tstart:85.0 in
+      let built = Protemp.Model.instantiate prepared ~ftarget:8.68e8 in
       match Protemp.Model.solve built with
       | Protemp.Model.Feasible sol ->
           let dt = Unix.gettimeofday () -. t0 in
@@ -424,8 +423,10 @@ let abl_stride () =
             Protemp.Guarantee.window_peak ~machine ~dfs_period:0.1 ~tstart:85.0
               ~frequencies:sol.Protemp.Model.frequencies
           in
-          Printf.printf "  %8d %12d %10.2f %14.4f\n" stride
-            (Array.length built.Protemp.Model.problem.Convex.Barrier.constraints)
+          let rows = Protemp.Model.cap_rows prepared in
+          Printf.printf "  %8d %16s %10.2f %14.4f\n" stride
+            (Printf.sprintf "%d/%d" rows.Protemp.Model.kept
+               rows.Protemp.Model.formulated)
             dt (100.0 -. peak)
       | Protemp.Model.Infeasible -> Printf.printf "  %8d infeasible\n" stride)
     [ 1; 2; 5; 20 ];

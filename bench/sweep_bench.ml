@@ -148,7 +148,7 @@ let json_of_stats (s : Protemp.Offline.sweep_stats) =
      \"jitter_retries\": %d}, \"conic\": {\"iterations\": %d, \
      \"predictor_steps\": %d, \"corrector_steps\": %d, \"factorizations\": \
      %d, \"jitter_retries\": %d, \"optimal\": %d, \"primal_infeasible\": %d, \
-     \"dual_infeasible\": %d, \"unknown\": %d}}"
+     \"dual_infeasible\": %d, \"unknown\": %d, \"relaxed_optimal\": %d}}"
     s.Protemp.Offline.solves b.Convex.Barrier.centering_steps
     b.Convex.Barrier.newton_iterations b.Convex.Barrier.backtracks
     b.Convex.Barrier.factorizations b.Convex.Barrier.jitter_retries
@@ -156,7 +156,7 @@ let json_of_stats (s : Protemp.Offline.sweep_stats) =
     c.Convex.Conic.corrector_steps c.Convex.Conic.factorizations
     c.Convex.Conic.jitter_retries c.Convex.Conic.optimal
     c.Convex.Conic.primal_infeasible c.Convex.Conic.dual_infeasible
-    c.Convex.Conic.unknown
+    c.Convex.Conic.unknown c.Convex.Conic.relaxed_optimal
 
 let () =
   let hw = Parallel.Pool.default_domains () in

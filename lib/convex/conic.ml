@@ -501,12 +501,14 @@ type stats = {
   primal_infeasible : int;
   dual_infeasible : int;
   unknown : int;
+  relaxed_optimal : int;
 }
 
 let stats_zero =
   { iterations = 0; predictor_steps = 0; corrector_steps = 0;
     factorizations = 0; jitter_retries = 0; optimal = 0;
-    primal_infeasible = 0; dual_infeasible = 0; unknown = 0 }
+    primal_infeasible = 0; dual_infeasible = 0; unknown = 0;
+    relaxed_optimal = 0 }
 
 let stats_add a b =
   {
@@ -519,6 +521,7 @@ let stats_add a b =
     primal_infeasible = a.primal_infeasible + b.primal_infeasible;
     dual_infeasible = a.dual_infeasible + b.dual_infeasible;
     unknown = a.unknown + b.unknown;
+    relaxed_optimal = a.relaxed_optimal + b.relaxed_optimal;
   }
 
 type solution = {
@@ -1601,13 +1604,23 @@ let solve ?(options = default_options) ?warm ?warm_dual ?stats_into ?ws t =
   in
 
   let result = ref None in
+  (* Set when the relaxed re-check, not the strict test, accepted the
+     returned optimum. *)
+  let relaxed = ref false in
+  let finish () =
+    let status = finish_unknown st options ~iterations:!iterations in
+    (match status with
+    | Optimal _ -> relaxed := true
+    | Primal_infeasible _ | Dual_infeasible _ | Unknown _ -> ());
+    status
+  in
   (try
      while !result = None do
        compute_residuals st;
        let give_up () =
          (* The relaxed re-check can still promote the best iterate to
             Optimal; a warm start is rescued only when it cannot. *)
-         match finish_unknown st options ~iterations:!iterations with
+         match finish () with
          | Unknown _ when !warm_active && !iterations < options.max_iter ->
              restart_cold ()
          | status -> result := Some status
@@ -1661,8 +1674,7 @@ let solve ?(options = default_options) ?warm ?warm_dual ?stats_into ?ws t =
                else take_step st alpha
              end
      done
-   with Chol.Not_positive_definite _ ->
-     result := Some (finish_unknown st options ~iterations:!iterations));
+   with Chol.Not_positive_definite _ -> result := Some (finish ()));
   let status =
     match !result with Some s -> s | None -> assert false
   in
@@ -1671,7 +1683,9 @@ let solve ?(options = default_options) ?warm ?warm_dual ?stats_into ?ws t =
   | Some acc ->
       let outcome =
         match status with
-        | Optimal _ -> { stats_zero with optimal = 1 }
+        | Optimal _ ->
+            { stats_zero with optimal = 1;
+              relaxed_optimal = (if !relaxed then 1 else 0) }
         | Primal_infeasible _ -> { stats_zero with primal_infeasible = 1 }
         | Dual_infeasible _ -> { stats_zero with dual_infeasible = 1 }
         | Unknown _ -> { stats_zero with unknown = 1 }

@@ -108,6 +108,9 @@ type stats = {
   primal_infeasible : int;
   dual_infeasible : int;
   unknown : int;  (** Certificate-outcome counters, one per solve. *)
+  relaxed_optimal : int;
+      (** Of [optimal]: solves whose optimum only the failure exit's
+          100x-relaxed re-check of the best iterate accepted. *)
 }
 
 val stats_zero : stats

@@ -23,7 +23,11 @@ let ensure_init () =
   if not (Atomic.get initialized) then begin
     Atomic.set initialized true;
     (* Puts the stdlib on the load path so [Compmisc.initial_env]
-       (and Envaux reconstruction) can resolve Stdlib's cmi. *)
+       (and Envaux reconstruction) can resolve Stdlib's cmi.  [+unix]
+       goes on explicitly: since OCaml 5.0 the compiler only finds
+       Unix's cmi through a deprecated automatic include, which
+       prints an alert on every lint run over code that uses it. *)
+    Clflags.include_dirs := "+unix" :: !Clflags.include_dirs;
     Compmisc.init_path ()
   end
 

@@ -23,6 +23,7 @@ type t = {
   mutable n_solves : int;
   mutable n_warm_hits : int;
   mutable n_pruned : int;
+  mutable extraction : Model.extraction;
 }
 
 let strictly_increasing a =
@@ -61,6 +62,7 @@ let create ?solver ?options ?(margin = 0.0) ~machine ~spec ~tstarts ~ftargets
     n_solves = 0;
     n_warm_hits = 0;
     n_pruned = 0;
+    extraction = Model.extraction_zero;
   }
 
 let tstarts t = Array.copy t.tstarts
@@ -141,11 +143,11 @@ let neighbour_seed t i j =
   consider i (j + 1);
   !best
 
-let solve_cell t ~prepared ~ws ~seed j =
+let solve_cell t ~prepared ~ws ~extraction ~seed j =
   let built = Model.instantiate prepared ~ftarget:t.ftargets.(j) in
   match
-    Model.solve ?solver:t.solver ?options:t.options ?conic_ws:ws ?start:seed
-      built
+    Model.solve ?solver:t.solver ?options:t.options ?conic_ws:ws
+      ~extraction_into:extraction ?start:seed built
   with
   | Model.Feasible s ->
       (Table.Frequencies s.Model.frequencies, Some s.Model.raw.Convex.Solve.x)
@@ -174,7 +176,9 @@ let cell t i j =
         (match seed with
         | Some _ -> t.n_warm_hits <- t.n_warm_hits + 1
         | None -> ());
-        let c, s = solve_cell t ~prepared ~ws ~seed j in
+        let extraction = ref t.extraction in
+        let c, s = solve_cell t ~prepared ~ws ~extraction ~seed j in
+        t.extraction <- !extraction;
         t.cells.(i).(j) <- Some c;
         t.seeds.(i).(j) <- s;
         (match c with
@@ -190,7 +194,20 @@ type fill_stats = {
   warm_hits : int;
   pruned : int;
   feasible : int;
+  repaired : int;
+  rejected : int;
 }
+
+let stats_add a b =
+  {
+    cells = a.cells + b.cells;
+    solves = a.solves + b.solves;
+    warm_hits = a.warm_hits + b.warm_hits;
+    pruned = a.pruned + b.pruned;
+    feasible = a.feasible + b.feasible;
+    repaired = a.repaired + b.repaired;
+    rejected = a.rejected + b.rejected;
+  }
 
 (* One row of a fill: a pure function of the row's pre-fill memo state
    and the frontier snapshot, sequential over columns with the
@@ -207,6 +224,7 @@ let run_row (t : t) ~bound0 i =
   let warm = ref None in
   let n_new = ref 0 and solves = ref 0 and warm_hits = ref 0 in
   let pruned = ref 0 and feasible = ref 0 in
+  let extraction = ref Model.extraction_zero in
   for j = 0 to cols - 1 do
     match cells.(j) with
     | Some (Table.Frequencies _) -> warm := seeds.(j)
@@ -246,7 +264,7 @@ let run_row (t : t) ~bound0 i =
           in
           incr solves;
           (match !warm with Some _ -> incr warm_hits | None -> ());
-          let c, s = solve_cell t ~prepared:p ~ws:w ~seed:!warm j in
+          let c, s = solve_cell t ~prepared:p ~ws:w ~extraction ~seed:!warm j in
           cells.(j) <- Some c;
           seeds.(j) <- s;
           match c with
@@ -258,8 +276,18 @@ let run_row (t : t) ~bound0 i =
               if j < !frontier_i then frontier_i := j
         end
   done;
-  (cells, seeds, !prepared, !ws, !frontier_i, !n_new, !solves, !warm_hits,
-   !pruned, !feasible)
+  let stats =
+    {
+      cells = !n_new;
+      solves = !solves;
+      warm_hits = !warm_hits;
+      pruned = !pruned;
+      feasible = !feasible;
+      repaired = !extraction.Model.repaired;
+      rejected = !extraction.Model.rejected;
+    }
+  in
+  (cells, seeds, !prepared, !ws, !frontier_i, stats)
 
 let fill ?domains (t : t) =
   let domains =
@@ -274,27 +302,28 @@ let fill ?domains (t : t) =
     (* lint: capture rows share t read-only during the fan-out; each worker returns its row's state and only the submitting domain writes it back below *)
     Parallel.Pool.map ~domains (fun i -> run_row t ~bound0:bounds.(i) i) rows
   in
-  let acc = ref { cells = 0; solves = 0; warm_hits = 0; pruned = 0; feasible = 0 } in
+  let acc =
+    ref
+      { cells = 0; solves = 0; warm_hits = 0; pruned = 0; feasible = 0;
+        repaired = 0; rejected = 0 }
+  in
   Array.iteri
-    (fun i (cells, seeds, prepared, ws, frontier_i, n_new, solves, warm_hits,
-            pruned, feasible) ->
+    (fun i (cells, seeds, prepared, ws, frontier_i, row) ->
       t.cells.(i) <- cells;
       t.seeds.(i) <- seeds;
       t.prepared.(i) <- prepared;
       t.conic_ws.(i) <- ws;
       t.frontier.(i) <- frontier_i;
-      acc :=
-        {
-          cells = !acc.cells + n_new;
-          solves = !acc.solves + solves;
-          warm_hits = !acc.warm_hits + warm_hits;
-          pruned = !acc.pruned + pruned;
-          feasible = !acc.feasible + feasible;
-        })
+      acc := stats_add !acc row)
     results;
   t.n_solves <- t.n_solves + !acc.solves;
   t.n_warm_hits <- t.n_warm_hits + !acc.warm_hits;
   t.n_pruned <- t.n_pruned + !acc.pruned;
+  t.extraction <-
+    {
+      Model.repaired = t.extraction.Model.repaired + !acc.repaired;
+      rejected = t.extraction.Model.rejected + !acc.rejected;
+    };
   !acc
 
 let stats (t : t) =
@@ -310,6 +339,8 @@ let stats (t : t) =
     warm_hits = t.n_warm_hits;
     pruned = t.n_pruned;
     feasible = !feasible;
+    repaired = t.extraction.Model.repaired;
+    rejected = t.extraction.Model.rejected;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -65,6 +65,13 @@ type fill_stats = {
   warm_hits : int;  (** Solves seeded from a neighbour's optimum. *)
   pruned : int;  (** Cells certified infeasible via the frontier, no solve. *)
   feasible : int;  (** Feasible cells among [cells]. *)
+  repaired : int;
+      (** Solved feasible cells whose frequencies certified extraction
+          scaled down onto the cap rows (see {!Model.solve}). *)
+  rejected : int;
+      (** Solved cells certified extraction turned [Infeasible]: the
+          scaled frequencies missed the throughput floor.  They prune
+          like any other infeasible cell. *)
 }
 
 val fill : ?domains:int -> t -> fill_stats

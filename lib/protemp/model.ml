@@ -11,6 +11,16 @@ type layout = {
   bounds_offset : int option;
 }
 
+(* The thermal cap rows a prepared context kept, in the form the
+   extraction certificate evaluates: row [r] reads
+   [cap_base.(r) + sum_j cap_w.(r * n_cores + j) * phat_j <= tmax],
+   with [phat_j] core [j]'s power in units of its own pmax. *)
+type caps = {
+  cap_base : float array;
+  cap_w : float array;
+  formulated : int;  (* cap rows before the presolve *)
+}
+
 type built = {
   problem : Convex.Barrier.problem;
   layout : layout;
@@ -23,6 +33,7 @@ type built = {
   compiled : Convex.Compiled.t Lazy.t;
   frontier_compiled : Convex.Compiled.t Lazy.t;
   conic : Convex.Conic.t Lazy.t;
+  caps : caps;
 }
 
 (* The normal-equations matrix G' W^-2 G of the conic form couples
@@ -99,6 +110,7 @@ type prepared = {
   (* Conic form with a floor constant of 0; {!instantiate} re-offsets
      the floor row per [ftarget] without re-packing G. *)
   p_conic : Convex.Conic.t Lazy.t;
+  p_caps : caps;
 }
 
 let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
@@ -187,51 +199,102 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
   let post = ref [] in
   let add c = post := c :: !post in
   let ks = stride_steps ~steps ~stride:spec.Spec.constraint_stride in
-  let ks = List.sort_uniq compare ks in
+  let ks = Array.of_list (List.sort_uniq compare ks) in
   let tmax = spec.Spec.tmax in
+  let step = thermal.Thermal.Rc_model.step in
   let b = thermal.Thermal.Rc_model.injection in
+  (* Cap-row presolve (DESIGN.md section 6l).  Core power is
+     nonnegative and boxed to [0, 1.005] per normalized variable, so a
+     row is implied
+
+     - by the box alone when even every core at 1.005 keeps it under
+       tmax (box-safe), or
+     - by any later constrained row of the same node whose zero-power
+       base temperature is at least as high (dominated): with [A >= 0]
+       elementwise, [S_k' = S_k + A^k + ...] dominates [S_k] entry by
+       entry for [k' > k] — in floating point too, since adding a
+       nonnegative term never rounds down — so that later row's
+       coefficients are at least as large.
+
+     The dominated rule leans on [A >= 0] and [b >= 0] at the core
+     nodes, which {!Thermal.Rc_model.discretize} guarantees; a
+     hand-built [discrete] that breaks them keeps every such row.
+     [later_max.(i).(node)] is the highest base over the constrained
+     steps after [ks.(i)]. *)
+  let monotone =
+    (let ok = ref true in
+     for r = 0 to n_nodes - 1 do
+       for c = 0 to n_nodes - 1 do
+         if not (Mat.get step r c >= 0.0) then ok := false
+       done
+     done;
+     !ok)
+    && Array.for_all (fun cn -> b.(cn) >= 0.0) core_nodes
+  in
+  let n_ks = Array.length ks in
+  let later_max = Array.make_matrix n_ks n_nodes neg_infinity in
+  for i = n_ks - 2 downto 0 do
+    for node = 0 to n_nodes - 1 do
+      later_max.(i).(node) <-
+        Float.max later_max.(i + 1).(node) (Mat.get base_traj ks.(i + 1) node)
+    done
+  done;
+  let kept_base = ref [] and kept_w = ref [] in
   let grad_rows = ref [] in
   let s_k = ref (Mat.zeros n_nodes n_nodes) in
   let a_pow = ref (Mat.identity n_nodes) in
-  let next_ks = ref ks in
+  let next_i = ref 0 in
   for k = 1 to steps do
     (* S_k = S_{k-1} + A^{k-1} *)
     Mat.add_into ~dst:!s_k !a_pow;
-    a_pow := Mat.matmul thermal.Thermal.Rc_model.step !a_pow;
-    match !next_ks with
-    | k' :: rest when k' = k ->
-        next_ks := rest;
-        for node = 0 to n_nodes - 1 do
-          (* Coefficients of normalized core powers on this node. *)
-          let q = Vec.zeros dim in
-          (match spec.Spec.variant with
-          | Spec.Variable ->
-              Array.iteri
-                (fun j cn ->
-                  q.(layout.p_offset + j) <-
-                    Mat.get !s_k node cn *. b.(cn) *. pmax.(j))
-                core_nodes
-          | Spec.Uniform ->
-              let acc = ref 0.0 in
-              Array.iter
-                (fun cn -> acc := !acc +. (Mat.get !s_k node cn *. b.(cn)))
-                core_nodes;
-              q.(layout.p_offset) <- !acc *. pmax.(0));
-          let base = Mat.get base_traj k node in
+    a_pow := Mat.matmul step !a_pow;
+    if !next_i < n_ks && ks.(!next_i) = k then begin
+      let i = !next_i in
+      incr next_i;
+      for node = 0 to n_nodes - 1 do
+        (* Per-core gains on this node (degrees per unit of normalized
+           power), the form the certificate evaluates whatever the
+           variant. *)
+        let w =
+          Array.mapi (fun j cn -> Mat.get !s_k node cn *. b.(cn) *. pmax.(j))
+            core_nodes
+        in
+        (* Coefficients of the normalized power variables. *)
+        let q = Vec.zeros dim in
+        (match spec.Spec.variant with
+        | Spec.Variable -> Array.blit w 0 q layout.p_offset n_cores
+        | Spec.Uniform ->
+            let acc = ref 0.0 in
+            Array.iter
+              (fun cn -> acc := !acc +. (Mat.get !s_k node cn *. b.(cn)))
+              core_nodes;
+            q.(layout.p_offset) <- !acc *. pmax.(0));
+        let base = Mat.get base_traj k node in
+        let box_peak =
+          Array.fold_left
+            (fun acc wj -> acc +. (Float.max 0.0 wj *. 1.005))
+            base w
+        in
+        let dominated = monotone && base <= later_max.(i).(node) in
+        if box_peak > tmax && not dominated then begin
+          kept_base := base :: !kept_base;
+          kept_w := w :: !kept_w;
           (* base + q.p <= tmax, stated in units of tmax so every
              constraint family has O(1) coefficients (the barrier's
              Newton systems are ill-conditioned otherwise). *)
           add
             (Quad.affine
                (Vec.scale (1.0 /. tmax) q)
-               ((base -. tmax) /. tmax));
-          (* Gradient bookkeeping (core nodes only). *)
-          if
-            layout.bounds_offset <> None
-            && Array.exists (fun cn -> cn = node) core_nodes
-          then grad_rows := (q, base) :: !grad_rows
-        done
-    | _ :: _ | [] -> ()
+               ((base -. tmax) /. tmax))
+        end;
+        (* Gradient bookkeeping (core nodes only): the u/l rows span
+           every core row, kept or not. *)
+        if
+          layout.bounds_offset <> None
+          && Array.exists (fun cn -> cn = node) core_nodes
+        then grad_rows := (q, base) :: !grad_rows
+      done
+    end
   done;
   (* Gradient variant: t_{k,i}/tmax in [l, u] for all core rows, plus
      bounds keeping phase I bounded and the optional hard cap. *)
@@ -287,6 +350,13 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
   in
   let pre_floor = Array.of_list (List.rev !pre) in
   let post_floor = Array.of_list (List.rev !post) in
+  let caps =
+    {
+      cap_base = Array.of_list (List.rev !kept_base);
+      cap_w = Array.concat (List.rev !kept_w);
+      formulated = n_ks * n_nodes;
+    }
+  in
   {
     pre_floor;
     post_floor;
@@ -326,6 +396,7 @@ let prepare_internal ~machine ~(spec : Spec.t) ~t0 =
                Array.concat
                  [ pre_floor; [| Quad.affine total_f_coeffs 0.0 |]; post_floor ];
            });
+    p_caps = caps;
   }
 
 let uniform_t0 machine tstart =
@@ -368,6 +439,7 @@ let instantiate p ~ftarget =
         (Convex.Conic.with_constraint_constant
            (Lazy.force p.p_conic)
            ~index:(Array.length p.pre_floor) floor_const);
+    caps = p.p_caps;
   }
 
 let frontier_of_prepared p =
@@ -383,7 +455,62 @@ let frontier_of_prepared p =
     compiled = p.p_frontier_compiled;
     frontier_compiled = p.p_frontier_compiled;
     conic = lazy (Convex.Conic.of_barrier (Lazy.force p.p_frontier));
+    caps = p.p_caps;
   }
+
+type cap_rows = { kept : int; formulated : int }
+
+let cap_rows p =
+  { kept = Array.length p.p_caps.cap_base; formulated = p.p_caps.formulated }
+
+(* Kept row [r]'s temperature rise when core [j] draws [phat.(j)] of
+   its pmax. *)
+let cap_rise caps phat r =
+  let n = Vec.dim phat in
+  let acc = ref 0.0 in
+  for j = 0 to n - 1 do
+    acc := !acc +. (caps.cap_w.((r * n) + j) *. phat.(j))
+  done;
+  !acc
+
+(* Largest [T - tmax] over the kept cap rows; [neg_infinity] when no
+   row is kept. *)
+let caps_excess caps ~tmax phat =
+  let worst = ref neg_infinity in
+  for r = 0 to Array.length caps.cap_base - 1 do
+    worst :=
+      Float.max !worst (caps.cap_base.(r) +. cap_rise caps phat r -. tmax)
+  done;
+  !worst
+
+(* Normalized quadratic-law power of each core at [fhat]. *)
+let quadratic_power fhat = Vec.map (fun a -> a *. a) fhat
+
+let cap_excess built frequencies =
+  let machine = built.machine in
+  if Vec.dim frequencies <> machine.Sim.Machine.n_cores then
+    invalid_arg "Model.cap_excess: need one frequency per core";
+  let core_fmax = machine.Sim.Machine.core_fmax in
+  let fhat =
+    Vec.init (Vec.dim frequencies) (fun j ->
+        Float.max 0.0 frequencies.(j) /. core_fmax.(j))
+  in
+  caps_excess built.caps ~tmax:built.spec.Spec.tmax (quadratic_power fhat)
+
+(* The largest uniform frequency scale keeping every kept row at or
+   under tmax: a row's dynamic part grows with the square of the
+   scale, so [lambda^2 = min_r (tmax - base_r) / (w_r . phat)] over
+   the rows that draw power.  [None] when some row exceeds tmax on its
+   base alone — no scale helps. *)
+let repair_scale caps ~tmax phat =
+  let lam2 = ref 1.0 and hopeless = ref false in
+  for r = 0 to Array.length caps.cap_base - 1 do
+    let rise = cap_rise caps phat r in
+    let slack = tmax -. caps.cap_base.(r) in
+    if slack < 0.0 then hopeless := true
+    else if rise > 0.0 then lam2 := Float.min !lam2 (slack /. rise)
+  done;
+  if !hopeless then None else Some (sqrt !lam2)
 
 let build ~machine ~spec ~tstart ~ftarget =
   instantiate (prepare ~machine ~spec ~tstart) ~ftarget
@@ -452,14 +579,16 @@ let expand built per_var =
   | Spec.Variable -> Vec.copy per_var
   | Spec.Uniform -> Vec.create built.layout.n_cores per_var.(0)
 
-let solution_of_x built (raw : Convex.Solve.solution) =
+let clamp1 v = Vec.map (fun a -> Float.min 1.0 (Float.max 0.0 a)) v
+
+(* [fhat]/[phat] are per-variable normalized frequencies and powers. *)
+let solution_of built (raw : Convex.Solve.solution) ~fhat ~phat =
   let layout = built.layout in
   let x = raw.Convex.Solve.x in
   let core_fmax = built.machine.Sim.Machine.core_fmax in
   let core_pmax = built.machine.Sim.Machine.core_pmax in
-  let clamp1 v = Vec.map (fun a -> Float.min 1.0 (Float.max 0.0 a)) v in
-  let fhat = expand built (clamp1 (Vec.slice x layout.f_offset layout.n_f)) in
-  let phat = expand built (clamp1 (Vec.slice x layout.p_offset layout.n_p)) in
+  let fhat = expand built fhat in
+  let phat = expand built phat in
   (* Per-core denormalization, multiply order as [Vec.scale]'s
      [a *. x_i] so a single-class platform is bit-identical.  The
      reported powers are the certified (model) powers: for an
@@ -483,6 +612,13 @@ let solution_of_x built (raw : Convex.Solve.solution) =
     gradient_spread;
     raw;
   }
+
+let solution_of_x built (raw : Convex.Solve.solution) =
+  let layout = built.layout in
+  let x = raw.Convex.Solve.x in
+  solution_of built raw
+    ~fhat:(clamp1 (Vec.slice x layout.f_offset layout.n_f))
+    ~phat:(clamp1 (Vec.slice x layout.p_offset layout.n_p))
 
 (* Total frequency in units of the chip reference [fref], matching
    [total_f_coeffs]: weight [core_fmax.(j) /. fref] per normalized
@@ -619,7 +755,7 @@ let solve_barrier ?options ?(backend = `Compiled) ?stats_into ?start built =
             built
   in
   match chosen with
-  | None -> Infeasible
+  | None -> None
   | Some s -> (
       let compiled =
         match backend with
@@ -630,8 +766,8 @@ let solve_barrier ?options ?(backend = `Compiled) ?stats_into ?start built =
         Convex.Solve.solve ?options ~backend ?compiled ?stats_into ~start:s
           built.problem
       with
-      | Convex.Solve.Optimal raw -> Feasible (solution_of_x built raw)
-      | Convex.Solve.Infeasible _ -> Infeasible)
+      | Convex.Solve.Optimal raw -> Some raw
+      | Convex.Solve.Infeasible _ -> None)
 
 (* Conic path: no start hint, no frontier climb — the homogeneous
    embedding starts cold (or from a primal-only warm seed) and an
@@ -654,6 +790,28 @@ let raw_of_conic built t (s : Convex.Conic.solution) =
     stats = Convex.Barrier.stats_zero;
   }
 
+(* Normalized throughput the instance's floor demands. *)
+let needed_fhat built =
+  float_of_int built.layout.n_cores
+  *. (built.ftarget /. built.machine.Sim.Machine.fmax)
+
+(* A neighbouring cell's optimum sits on its own, lower floor.  Scale
+   its frequency block up until the throughput meets this instance's
+   floor, and put the power block back on the power law, so the
+   embedding starts near this cell's optimum instead of a point that
+   violates the one row that changed. *)
+let project_seed built x =
+  let layout = built.layout in
+  let have = total_fhat built x and needed = needed_fhat built in
+  let scale = if have > 0.0 && have < needed then needed /. have else 1.0 in
+  let y = Vec.copy x in
+  for j = 0 to layout.n_f - 1 do
+    let f = scale *. x.(layout.f_offset + j) in
+    y.(layout.f_offset + j) <- f;
+    y.(layout.p_offset + j) <- f *. f
+  done;
+  y
+
 let solve_conic ?conic_options ?conic_stats_into ?conic_ws ?start ?start_dual
     built =
   let t = Lazy.force built.conic in
@@ -668,7 +826,7 @@ let solve_conic ?conic_options ?conic_stats_into ?conic_ws ?start ?start_dual
   in
   let warm =
     match start with
-    | Some x when Vec.dim x = built.layout.dim -> Some x
+    | Some x when Vec.dim x = built.layout.dim -> Some (project_seed built x)
     | Some _ | None -> None
   in
   let warm_dual = match warm with Some _ -> start_dual | None -> None in
@@ -676,23 +834,79 @@ let solve_conic ?conic_options ?conic_stats_into ?conic_ws ?start ?start_dual
     Convex.Conic.solve ~options ?warm ?warm_dual
       ?stats_into:conic_stats_into ?ws:conic_ws t
   with
-  | Convex.Conic.Optimal s ->
-      `Done (Feasible (solution_of_x built (raw_of_conic built t s)))
-  | Convex.Conic.Primal_infeasible _ -> `Done Infeasible
+  | Convex.Conic.Optimal s -> `Done (Some (raw_of_conic built t s))
+  | Convex.Conic.Primal_infeasible _ -> `Done None
   | Convex.Conic.Dual_infeasible _ | Convex.Conic.Unknown _ -> `Fallback
 
+type extraction = { repaired : int; rejected : int }
+
+let extraction_zero = { repaired = 0; rejected = 0 }
+
+(* Certified extraction (DESIGN.md section 6l).  The solver's optimum
+   meets the cap rows only to its tolerance — or to 100x that, when the
+   relaxed re-check accepted it.  Evaluate the kept rows exactly at the
+   clamped frequencies under the quadratic law; if one exceeds tmax,
+   scale every frequency by the closed-form [repair_scale] and keep
+   the cell only if the floor still holds to [feas_tol], scaled as
+   the solver scales its own residual on that row (by
+   [max 1 |h|_inf >= max 1 needed]).  The presolve makes the kept rows
+   imply every formulated one, so a returned cell meets them all. *)
+let certified_extraction built ~feas_tol (raw : Convex.Solve.solution) =
+  let layout = built.layout in
+  let tmax = built.spec.Spec.tmax in
+  let fhat = clamp1 (Vec.slice raw.Convex.Solve.x layout.f_offset layout.n_f) in
+  let phat = quadratic_power (expand built fhat) in
+  if caps_excess built.caps ~tmax phat <= 0.0 then
+    `Kept (solution_of_x built raw)
+  else
+    match repair_scale built.caps ~tmax phat with
+    | None -> `Rejected
+    | Some lambda ->
+        let fhat = Vec.scale lambda fhat in
+        let x =
+          Vec.init layout.dim (fun i ->
+              let j = i - layout.f_offset in
+              if j >= 0 && j < layout.n_f then fhat.(j) else 0.0)
+        in
+        let needed = needed_fhat built in
+        if total_fhat built x >= needed -. (feas_tol *. Float.max 1.0 needed)
+        then
+          `Repaired
+            (solution_of built raw ~fhat ~phat:(quadratic_power fhat))
+        else `Rejected
+
 let solve ?(solver = `Conic) ?options ?conic_options ?backend ?stats_into
-    ?conic_stats_into ?conic_ws ?start ?start_dual built =
-  match solver with
-  | `Barrier -> solve_barrier ?options ?backend ?stats_into ?start built
-  | `Conic -> (
-      match
-        solve_conic ?conic_options ?conic_stats_into ?conic_ws ?start
-          ?start_dual built
-      with
-      | `Done outcome -> outcome
-      | `Fallback ->
-          solve_barrier ?options ?backend ?stats_into ?start built)
+    ?conic_stats_into ?conic_ws ?extraction_into ?start ?start_dual built =
+  let raw =
+    match solver with
+    | `Barrier -> solve_barrier ?options ?backend ?stats_into ?start built
+    | `Conic -> (
+        match
+          solve_conic ?conic_options ?conic_stats_into ?conic_ws ?start
+            ?start_dual built
+        with
+        | `Done raw -> raw
+        | `Fallback ->
+            solve_barrier ?options ?backend ?stats_into ?start built)
+  in
+  let count f =
+    match extraction_into with Some acc -> acc := f !acc | None -> ()
+  in
+  match raw with
+  | None -> Infeasible
+  | Some raw -> (
+      let feas_tol =
+        (Option.value conic_options ~default:Convex.Conic.default_options)
+          .Convex.Conic.feas_tol
+      in
+      match certified_extraction built ~feas_tol raw with
+      | `Kept s -> Feasible s
+      | `Repaired s ->
+          count (fun e -> { e with repaired = e.repaired + 1 });
+          Feasible s
+      | `Rejected ->
+          count (fun e -> { e with rejected = e.rejected + 1 });
+          Infeasible)
 
 let predicted_peak built frequencies =
   let machine = built.machine in

@@ -42,6 +42,10 @@ type layout = {
       (** Index of [(u, l)] when the gradient term is enabled. *)
 }
 
+type caps
+(** The thermal cap rows an instance kept after the presolve, in the
+    per-core form {!cap_excess} evaluates. *)
+
 type built = {
   problem : Convex.Barrier.problem;
   layout : layout;
@@ -70,6 +74,9 @@ type built = {
           made from one {!prepared} context share the packed cone
           matrix — only the throughput-floor offset differs — so a
           sweep row converts once. *)
+  caps : caps;
+      (** The kept cap rows, shared by every instance made from one
+          {!prepared} context; see {!cap_excess}. *)
 }
 
 val conic_blocks : layout -> int array
@@ -83,7 +90,16 @@ type prepared
     the throughput floor.  Building it costs as much as one {!build};
     each further {!instantiate} at a new [ftarget] is then almost
     free.  The offline sweep prepares once per table row and
-    instantiates once per column. *)
+    instantiates once per column.
+
+    Preparing drops every thermal cap row (one per constrained step
+    and node) that the others imply: a row is {e box-safe} when even
+    every core at its power ceiling keeps it under [tmax], and
+    {e dominated} when a later constrained row of the same node starts
+    from a zero-power temperature at least as high — its coefficients
+    are then at least as large, because the step matrix is
+    nonnegative.  The kept rows define the same feasible set as all
+    of them (DESIGN.md section 6l). *)
 
 val prepare :
   machine:Sim.Machine.t -> spec:Spec.t -> tstart:float -> prepared
@@ -101,6 +117,24 @@ val instantiate : prepared -> ftarget:float -> built
 
 val frontier_of_prepared : prepared -> built
 (** The {!build_frontier} instance of a prepared context. *)
+
+type cap_rows = {
+  kept : int;  (** Cap rows in the conic and barrier problems. *)
+  formulated : int;
+      (** Cap rows the formulation states: one per node per
+          constrained step. *)
+}
+
+val cap_rows : prepared -> cap_rows
+
+val cap_excess : built -> Vec.t -> float
+(** [cap_excess b f] is the largest [T - tmax] (degrees) over the kept
+    cap rows when every core runs busy at [f] (Hz, one per core) under
+    the quadratic power law, from [b]'s start profile; [neg_infinity]
+    when no row is kept.  It is the function certified extraction in
+    {!solve} evaluates.  Since the kept rows imply the dropped ones,
+    [max 0 (cap_excess b f)] is the excess over every formulated
+    row. *)
 
 val build :
   machine:Sim.Machine.t -> spec:Spec.t -> tstart:float -> ftarget:float ->
@@ -144,6 +178,17 @@ type solution = {
 
 type outcome = Feasible of solution | Infeasible
 
+type extraction = {
+  repaired : int;
+      (** Optima whose frequencies {!solve} scaled down to meet every
+          cap row exactly. *)
+  rejected : int;
+      (** Optima reported [Infeasible] because the scaled frequencies
+          no longer met the throughput floor. *)
+}
+
+val extraction_zero : extraction
+
 val solve :
   ?solver:[ `Conic | `Barrier ] ->
   ?options:Convex.Barrier.options ->
@@ -152,6 +197,7 @@ val solve :
   ?stats_into:Convex.Barrier.stats ref ->
   ?conic_stats_into:Convex.Conic.stats ref ->
   ?conic_ws:Convex.Conic.workspace ->
+  ?extraction_into:extraction ref ->
   ?start:Vec.t ->
   ?start_dual:Vec.t ->
   built ->
@@ -183,9 +229,25 @@ val solve :
     floor is cleared (or shown unreachable), side-stepping the generic
     phase I.
 
+    Every optimum goes through {e certified extraction}: the kept cap
+    rows are evaluated exactly at the clamped frequencies under the
+    quadratic power law.  If one exceeds [tmax] — the solver meets
+    rows only to its tolerance — all frequencies are scaled by the
+    closed-form largest factor that brings every row under [tmax]; the
+    cell stays [Feasible] only if the scaled frequencies still meet
+    the throughput floor within the conic [feas_tol] (scaled, as the
+    solver scales its own residuals, by [max 1 needed] for a floor of
+    [needed] in units of fmax), and is [Infeasible] otherwise.  [extraction_into] accumulates how many
+    optima were repaired and rejected.  So a [Feasible] solution's
+    {!cap_excess} is never positive, up to rounding.
+
     [start] is a warm-start point, typically the previous column's
-    [raw.x] when sweeping [ftarget] upward.  It is used directly when
-    strictly feasible; otherwise it seeds the frontier climb after
+    [raw.x] when sweeping [ftarget] upward.  On the conic path it is
+    first projected onto the instance: its frequency block is scaled
+    up until the throughput meets this instance's floor, and its power
+    block is reset to the power law.  On the barrier path it is used
+    directly when strictly feasible; otherwise it seeds the frontier
+    climb after
     being blended toward {!trivial_start} to restore interior margin
     (barrier iterates are strictly interior, so a neighbouring cell's
     optimum is always strictly feasible for the floor-free frontier

@@ -33,7 +33,8 @@ type sweep_stats = {
       (** Barrier-path work — frontier climbs, phase-I runs and conic
           fallbacks included. *)
   conic : Convex.Conic.stats;
-      (** Conic-path work, with per-solve certificate outcomes. *)
+      (** Conic-path work, with per-solve certificate outcomes and the
+          optima only the relaxed re-check accepted. *)
 }
 (** Aggregated solver work counters for a whole sweep, split by
     solver.  Deterministic for fixed inputs (independent of the

@@ -686,7 +686,10 @@ let test_conic_warm_start_and_stats () =
   in
   check_float 1e-6 "re-targeted optimum" (-.sqrt 2.1)
     warm.Conic.objective_value;
-  check_int "outcomes accumulate" 2 !stats.Conic.optimal
+  check_int "outcomes accumulate" 2 !stats.Conic.optimal;
+  (* Both solves meet the strict tolerances, so neither counts as a
+     relaxed acceptance. *)
+  check_int "no relaxed acceptance" 0 !stats.Conic.relaxed_optimal
 
 let test_conic_workspace_reuse () =
   let t = Conic.of_barrier (epigraph_problem ()) in

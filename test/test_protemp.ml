@@ -369,6 +369,213 @@ let test_model_rejects_bad_ftarget () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+let biglittle = lazy (Sim.Machine.biglittle ())
+
+let test_model_presolve_keeps_few_cool_rows () =
+  (* From ambient the chip cannot reach tmax in one window except
+     near the end, so nearly every cap row is box-safe or dominated. *)
+  let m = Lazy.force machine in
+  let p =
+    Protemp.Model.prepare ~machine:m ~spec:Protemp.Spec.default ~tstart:27.0
+  in
+  let rows = Protemp.Model.cap_rows p in
+  check_int "formulated: 17 nodes x 250 steps" 4250
+    rows.Protemp.Model.formulated;
+  check_bool
+    (Printf.sprintf "kept %d <= 17" rows.Protemp.Model.kept)
+    true
+    (rows.Protemp.Model.kept <= 17)
+
+(* Node temperatures at the constrained steps (the formulated cap
+   rows' left-hand sides) when every core runs busy at [f] under the
+   quadratic power law, by direct simulation. *)
+let formulated_rows (built : Protemp.Model.built) f =
+  let m = built.Protemp.Model.machine in
+  let power = Vec.copy m.Sim.Machine.fixed_power in
+  Array.iteri
+    (fun j node ->
+      let r = Float.max 0.0 f.(j) /. m.Sim.Machine.core_fmax.(j) in
+      power.(node) <- m.Sim.Machine.core_pmax.(j) *. r *. r)
+    m.Sim.Machine.core_nodes;
+  let steps = built.Protemp.Model.steps in
+  let stride = built.Protemp.Model.spec.Protemp.Spec.constraint_stride in
+  let temps =
+    (Thermal.Transient.simulate m.Sim.Machine.thermal
+       ~t0:built.Protemp.Model.initial_temperatures ~steps ~power:(fun _ ->
+         power))
+      .Thermal.Transient.temperatures
+  in
+  let rows = ref [] in
+  for k = 1 to steps do
+    if k mod stride = 0 || k = steps then
+      for i = 0 to Mat.cols temps - 1 do
+        rows := Mat.get temps k i :: !rows
+      done
+  done;
+  Array.of_list !rows
+
+(* [f] scaled so the hottest formulated row sits at exactly
+   [tmax + delta], or as close as the frequency ceilings allow: the
+   rows then compete at the boundary, where a wrongly dropped row
+   would show. *)
+let scaled_to_boundary (built : Protemp.Model.built) f ~tmax ~delta =
+  let core_fmax = built.Protemp.Model.machine.Sim.Machine.core_fmax in
+  let base = formulated_rows built (Vec.zeros (Vec.dim f)) in
+  let hot = formulated_rows built f in
+  let lam2 = ref infinity in
+  Array.iteri
+    (fun r b ->
+      let d = hot.(r) -. b in
+      if d > 0.0 && b <= tmax +. delta then
+        lam2 := Float.min !lam2 ((tmax +. delta -. b) /. d))
+    base;
+  let ceiling = ref infinity in
+  Array.iteri
+    (fun j fj -> if fj > 0.0 then ceiling := Float.min !ceiling (core_fmax.(j) /. fj))
+    f;
+  let lam = Float.min (sqrt !lam2) !ceiling in
+  if Float.is_finite lam then Vec.scale lam f else f
+
+(* The presolve is exact: the kept rows' excess equals the excess
+   over every formulated row, at random frequencies and at the same
+   frequencies scaled onto the cap.  On Niagara (a quadratic power
+   law) at stride 1 that is also [predicted_peak]'s; big.LITTLE's
+   little cores follow a cubic law, which the quadratic rows
+   over-state, so there the simulation above is the oracle. *)
+let prop_cap_excess_exact =
+  QCheck2.Test.make ~name:"model: kept cap rows give the formulated excess"
+    ~count:40
+    ~print:(fun (platform, stride, (uniform_t0, tstart), seed) ->
+      Printf.sprintf "%s stride %d %s t0 %g seed %d"
+        (match platform with
+        | `Niagara -> "niagara"
+        | `Niagara_uniform -> "niagara-uniform"
+        | `Biglittle -> "biglittle")
+        stride
+        (if uniform_t0 then "uniform" else "random")
+        tstart seed)
+    QCheck2.Gen.(
+      quad
+        (oneofl [ `Niagara; `Niagara_uniform; `Biglittle ])
+        (oneofl [ 1; 4 ])
+        (pair bool (float_range 27.0 100.0))
+        (int_range 0 1_000_000))
+    (fun (platform, stride, (uniform_t0, tstart), seed) ->
+      let m, variant =
+        match platform with
+        | `Niagara -> (Lazy.force machine, Protemp.Spec.Variable)
+        | `Niagara_uniform -> (Lazy.force machine, Protemp.Spec.Uniform)
+        | `Biglittle -> (Lazy.force biglittle, Protemp.Spec.Variable)
+      in
+      let spec =
+        { Protemp.Spec.default with
+          Protemp.Spec.constraint_stride = stride; variant }
+      in
+      let tmax = spec.Protemp.Spec.tmax in
+      let rng = Random.State.make [| seed |] in
+      let t0 =
+        if uniform_t0 then Vec.create m.Sim.Machine.n_nodes tstart
+        else
+          Vec.init m.Sim.Machine.n_nodes (fun _ ->
+              27.0 +. Random.State.float rng (tmax -. 27.0))
+      in
+      let p = Protemp.Model.prepare_with_profile ~machine:m ~spec ~t0 in
+      let rows = Protemp.Model.cap_rows p in
+      let built = Protemp.Model.instantiate p ~ftarget:5e8 in
+      let f =
+        Vec.init m.Sim.Machine.n_cores (fun j ->
+            Random.State.float rng m.Sim.Machine.core_fmax.(j))
+      in
+      let exact f =
+        let excess = Float.max 0.0 (Protemp.Model.cap_excess built f) in
+        let oracle =
+          Float.max 0.0
+            (Array.fold_left Float.max neg_infinity (formulated_rows built f)
+            -. tmax)
+        in
+        let predicted_ok =
+          platform = `Biglittle || stride <> 1
+          || Float.abs
+               (Float.max 0.0 (Protemp.Model.predicted_peak built f -. tmax)
+               -. excess)
+             <= 1e-9
+        in
+        Float.abs (excess -. oracle) <= 1e-9 && predicted_ok
+      in
+      let delta = Random.State.float rng 0.5 in
+      rows.Protemp.Model.kept <= rows.Protemp.Model.formulated
+      && exact f
+      && exact (scaled_to_boundary built f ~tmax ~delta))
+
+(* Every feasible cell a solve returns meets the cap and the floor
+   exactly: the window peak from [tstart] is at most tmax + 1e-9 C and
+   the frequencies sum to the target within 1e-6.  The three cells are
+   ones a solver-tolerance optimum puts above tmax under the presolved
+   rows (+6.5e-4, +1.6e-7 and +1.2e-7 C); the grid is the stride-1
+   24x16 Niagara grid jittered as the table_build benchmark jitters
+   grid 2 of seed 5. *)
+let test_model_certified_cells () =
+  let m = Lazy.force machine in
+  let spec = Protemp.Spec.default in
+  let n = float_of_int m.Sim.Machine.n_cores in
+  let certified ~tstart ~ftarget f =
+    let peak =
+      Protemp.Guarantee.window_peak ~machine:m
+        ~dfs_period:spec.Protemp.Spec.dfs_period ~tstart ~frequencies:f
+    in
+    peak <= spec.Protemp.Spec.tmax +. 1e-9
+    && Vec.sum f >= n *. ftarget *. (1.0 -. 1e-6)
+  in
+  List.iter
+    (fun (tstart, ftarget) ->
+      match
+        Protemp.Model.solve (Protemp.Model.build ~machine:m ~spec ~tstart ~ftarget)
+      with
+      | Protemp.Model.Feasible s ->
+          check_bool
+            (Printf.sprintf "cell (%.17g C, %.17g Hz) certified" tstart ftarget)
+            true
+            (certified ~tstart ~ftarget s.Protemp.Model.frequencies)
+      | Protemp.Model.Infeasible -> ())
+    [
+      (36.355312569974174, 937775818.82796836);
+      (74.400111618161674, 890185241.36179626);
+      (72.11613914804559, 892816326.9824568);
+    ];
+  let rng = Random.State.make [| 5; 2 |] in
+  let jittered ~lo ~hi n =
+    let step = (hi -. lo) /. float_of_int (n - 1) in
+    Array.init n (fun i ->
+        if i = 0 then lo
+        else if i = n - 1 then hi
+        else
+          lo +. (float_of_int i *. step)
+          +. ((Random.State.float rng 0.5 -. 0.25) *. step))
+  in
+  let tstarts = jittered ~lo:27.0 ~hi:100.0 24 in
+  let ftargets = jittered ~lo:1e8 ~hi:1e9 16 in
+  let d =
+    Protemp.Dense_table.create ~machine:m ~spec ~tstarts ~ftargets ()
+  in
+  let table = Protemp.Dense_table.to_table ~domains:1 d in
+  let feasible = ref 0 in
+  Array.iteri
+    (fun i tstart ->
+      Array.iteri
+        (fun j ftarget ->
+          match Protemp.Table.cell table i j with
+          | Protemp.Table.Frequencies f ->
+              incr feasible;
+              check_bool
+                (Printf.sprintf "grid cell (%g C, %g Hz) certified" tstart
+                   ftarget)
+                true
+                (certified ~tstart ~ftarget f)
+          | Protemp.Table.Infeasible -> ())
+        ftargets)
+    tstarts;
+  check_bool "grid has feasible cells" true (!feasible > 0)
+
 (* ------------------------------------------------------------------ *)
 (* Offline *)
 
@@ -840,6 +1047,7 @@ let props =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_never_exceeds_tmax;
+      prop_cap_excess_exact;
       prop_table_lookup_semantics;
       prop_table_csv_roundtrip_exact;
     ]
@@ -887,6 +1095,9 @@ let () =
             test_model_gradient_variant_reports_spread;
           Alcotest.test_case "rejects bad ftarget" `Quick
             test_model_rejects_bad_ftarget;
+          Alcotest.test_case "presolve keeps few cool rows" `Quick
+            test_model_presolve_keeps_few_cool_rows;
+          Alcotest.test_case "certified cells" `Slow test_model_certified_cells;
         ] );
       ( "offline",
         [
